@@ -51,9 +51,10 @@ class FlushDriver {
 /// row marked invalid.
 class RecoveryCoordinator {
  public:
-  /// `workers` outlive the coordinator. `driver` may be null.
-  RecoveryCoordinator(std::vector<RecoveryWorker*> workers, FlushDriver* driver,
-                      int64_t poll_interval_us = 500);
+  /// `workers` outlive the coordinator. `driver` may be null. Installs the
+  /// coordinator's wake signal on every worker, so the workers must not be
+  /// running yet and must stop before the coordinator is destroyed.
+  RecoveryCoordinator(std::vector<RecoveryWorker*> workers, FlushDriver* driver);
   ~RecoveryCoordinator();
 
   RecoveryCoordinator(const RecoveryCoordinator&) = delete;
@@ -99,8 +100,9 @@ class RecoveryCoordinator {
   /// accounting (Section IV.C).
   uint64_t quiesce_nanos() const { return quiesce_nanos_.load(std::memory_order_relaxed); }
 
-  /// Observer invoked (from the coordinator thread) after every publish,
-  /// outside the Quiesce Period. Must be set before Start().
+  /// Observer invoked (from the coordinator thread) right after every
+  /// publish, still inside the Quiesce Period, so it must not block. Must be
+  /// set before Start().
   void set_publish_listener(std::function<void(Scn)> fn) {
     publish_listener_ = std::move(fn);
   }
@@ -110,7 +112,9 @@ class RecoveryCoordinator {
 
   std::vector<RecoveryWorker*> workers_;
   FlushDriver* driver_;
-  int64_t poll_interval_us_;
+  /// Bumped by workers on every watermark advance; the idle coordinator
+  /// parks on it instead of polling.
+  WatermarkSignal progress_;
   chaos::ChaosController* chaos_ = nullptr;
 
   std::thread thread_;

@@ -120,8 +120,10 @@ void RecoveryWorker::Run() {
           // acquire load in applied_watermark(), so the QuerySCN the
           // coordinator publishes from it happens-after every block change
           // the barrier covers.
-          if (entry.scn > watermark_.load(std::memory_order_relaxed))
+          if (entry.scn > watermark_.load(std::memory_order_relaxed)) {
             watermark_.store(entry.scn, std::memory_order_release);
+            if (signal_ != nullptr) signal_->Notify();
+          }
           continue;
         }
         {

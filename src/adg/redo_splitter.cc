@@ -24,8 +24,9 @@ void RedoSplitter::Stop() {
 void RedoSplitter::Run() {
   while (!stop_.load(std::memory_order_acquire)) {
     RedoRecord rec;
-    if (!merger_->Next(&rec, /*timeout_us=*/1000)) {
+    if (!merger_->TryNext(&rec)) {
       if (merger_->Finished()) break;
+      merger_->WaitForProgress(/*timeout_us=*/1000);
       continue;
     }
     // Partition the record's CVs by owning instance; every instance receives

@@ -252,6 +252,7 @@ StatusOr<QueryResult> PrimaryDb::Query(const ScanQuery& query) {
 }
 
 StatusOr<QueryResult> PrimaryDb::QueryAt(const ScanQuery& query, Scn snapshot) {
+  txn_mgr_.AwaitCommitsThrough(snapshot);
   return query_engine_.ExecuteScan(MakeQueryContext(), query, snapshot);
 }
 
@@ -265,6 +266,7 @@ StatusOr<QueryResult> PrimaryDb::MultiJoin(const MultiJoinQuery& query) {
 
 StatusOr<QueryResult> PrimaryDb::MultiJoinAt(const MultiJoinQuery& query,
                                              Scn snapshot) {
+  txn_mgr_.AwaitCommitsThrough(snapshot);
   return query_engine_.ExecuteMultiJoin(MakeQueryContext(), query, snapshot);
 }
 
@@ -572,8 +574,10 @@ void StandbyDb::BuildPipeline() {
       for (const auto& w : mira_engines_.back()->workers())
         all_workers.push_back(w.get());
     }
-    mira_coordinator_ = std::make_unique<RecoveryCoordinator>(
-        std::move(all_workers), driver, options_.apply.coordinator_poll_us);
+    // Built before any engine starts: it installs its wake signal on every
+    // instance's workers, so a watermark advance anywhere unparks it.
+    mira_coordinator_ =
+        std::make_unique<RecoveryCoordinator>(std::move(all_workers), driver);
     mira_coordinator_->set_chaos(options_.chaos);
     mira_coordinator_->set_publish_listener([this](Scn scn) {
       last_query_scn_.store(scn, std::memory_order_release);

@@ -18,11 +18,6 @@ struct Touch {
   SlotId slot;
 };
 
-bool IsDataCv(CvKind kind) {
-  return kind == CvKind::kInsert || kind == CvKind::kUpdate ||
-         kind == CvKind::kDelete;
-}
-
 }  // namespace
 
 StatusOr<RecoveryResult> RecoveryManager::Recover(

@@ -1,17 +1,15 @@
 #include "redo/log_merger.h"
 
-#include <algorithm>
-
 namespace stratus {
 
-bool LogMerger::Next(RedoRecord* out, int64_t timeout_us) {
-  // Pick the stream whose head record has the smallest SCN; it is emittable
-  // iff every *other* stream either has a head (its head SCN is larger) or
-  // has a delivered watermark past the candidate (no smaller record can ever
-  // arrive on it) or is closed and drained.
+LogMerger::Gate LogMerger::Inspect() const {
+  // The stream whose head record has the smallest SCN is emittable iff every
+  // *other* stream either has a head (its head SCN is larger) or has a
+  // delivered watermark past the candidate (no smaller record can ever arrive
+  // on it) or is closed and drained. With every stream empty the candidate is
+  // "any future record", gated by every open stream.
   int best = -1;
   Scn best_scn = kMaxScn;
-  bool safe = true;
   for (size_t i = 0; i < streams_.size(); ++i) {
     const Scn head = streams_[i]->PeekScn();
     if (head != kInvalidScn && head < best_scn) {
@@ -19,26 +17,53 @@ bool LogMerger::Next(RedoRecord* out, int64_t timeout_us) {
       best = static_cast<int>(i);
     }
   }
-  if (best >= 0) {
-    for (size_t i = 0; i < streams_.size(); ++i) {
-      if (static_cast<int>(i) == best) continue;
-      if (streams_[i]->PeekScn() != kInvalidScn) continue;  // Head is > best_scn.
-      if (streams_[i]->closed() && streams_[i]->Empty()) continue;
-      if (streams_[i]->DeliveredWatermark() >= best_scn) continue;
-      safe = false;
-      break;
+  Gate gate;
+  bool safe = best >= 0;
+  bool rescan = false;
+  for (size_t i = 0; i < streams_.size(); ++i) {
+    if (static_cast<int>(i) == best) continue;
+    ReceivedLog* s = streams_[i];
+    // Closed flag and watermark are read before the queue. Deliver raises
+    // the watermark and enqueues under the stream lock, so every record at
+    // or below `wm` is visible to PeekScn (or was already emitted): an empty
+    // queue then really means nothing below `wm` is pending.
+    const bool closed = s->closed();
+    const Scn wm = s->DeliveredWatermark();
+    const Scn head = s->PeekScn();
+    if (head != kInvalidScn) {
+      // Arrived after the first pass with a smaller SCN: look again.
+      if (head < best_scn) {
+        safe = false;
+        rescan = true;
+      }
+      continue;
     }
-    if (safe && streams_[best]->Pop(out)) {
-      ++emitted_;
-      return true;
+    if (closed || wm >= best_scn) continue;
+    safe = false;
+    // Any record that arrives on another stream lies above that stream's
+    // watermark, so the lowest-watermark gate must move before anything
+    // becomes emittable.
+    if (gate.wait < 0 || wm < gate.wait_watermark) {
+      gate.wait = static_cast<int>(i);
+      gate.wait_watermark = wm;
     }
   }
-  // Stalled: wait for any stream to make progress, then let the caller retry.
-  if (!streams_.empty()) {
-    const Scn wm = MergedWatermark();
-    streams_[0]->WaitForProgress(wm, timeout_us);
-  }
-  return false;
+  if (safe) gate.emit = best;
+  if (rescan) gate.wait = -1;
+  return gate;
+}
+
+bool LogMerger::TryNext(RedoRecord* out) {
+  const Gate gate = Inspect();
+  if (gate.emit < 0 || !streams_[gate.emit]->Pop(out)) return false;
+  ++emitted_;
+  return true;
+}
+
+void LogMerger::WaitForProgress(int64_t timeout_us) const {
+  const Gate gate = Inspect();
+  if (gate.emit >= 0 || gate.wait < 0) return;
+  streams_[gate.wait]->WaitForProgress(gate.wait_watermark, timeout_us);
 }
 
 bool LogMerger::Finished() const {
@@ -46,12 +71,6 @@ bool LogMerger::Finished() const {
     if (!s->closed() || !s->Empty()) return false;
   }
   return true;
-}
-
-Scn LogMerger::MergedWatermark() const {
-  Scn wm = kMaxScn;
-  for (ReceivedLog* s : streams_) wm = std::min(wm, s->DeliveredWatermark());
-  return wm == kMaxScn ? kInvalidScn : wm;
 }
 
 }  // namespace stratus

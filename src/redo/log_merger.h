@@ -22,21 +22,35 @@ class LogMerger {
   LogMerger(const LogMerger&) = delete;
   LogMerger& operator=(const LogMerger&) = delete;
 
-  /// Produces the next record in global SCN order. Blocks up to `timeout_us`
-  /// waiting for progress. Returns false if nothing could be emitted (caller
-  /// checks `Finished()` to distinguish end-of-stream from a stall).
-  bool Next(RedoRecord* out, int64_t timeout_us);
+  /// Emits the next record in global SCN order if one is emittable right
+  /// now; never blocks. A false return means the merged order is drained up
+  /// to the last emitted record (caller checks `Finished()` to tell
+  /// end-of-stream from a stall).
+  bool TryNext(RedoRecord* out);
+
+  /// Blocks up to `timeout_us` until the stream that gates emission makes
+  /// progress: the open, empty stream with the lowest delivered watermark
+  /// (no record on any other stream can become emittable before it moves).
+  /// Returns at once when a record is already emittable or every stream is
+  /// closed and drained.
+  void WaitForProgress(int64_t timeout_us) const;
 
   /// True when every stream is closed and drained.
   bool Finished() const;
 
-  /// Smallest delivered watermark across streams: the SCN up to which the
-  /// merged order is complete.
-  Scn MergedWatermark() const;
-
   uint64_t emitted_records() const { return emitted_; }
 
  private:
+  /// One pass over the streams: which one may emit now, or which one gates
+  /// emission and the watermark it was seen at.
+  struct Gate {
+    int emit = -1;   ///< Stream whose head is safe to pop, or -1.
+    int wait = -1;   ///< Open, empty stream with the lowest watermark below
+                     ///< the smallest head, or -1 (nothing to wait for).
+    Scn wait_watermark = kInvalidScn;
+  };
+  Gate Inspect() const;
+
   std::vector<ReceivedLog*> streams_;
   uint64_t emitted_ = 0;
 };

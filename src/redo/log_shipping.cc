@@ -111,10 +111,6 @@ net::ChannelOptions ResolveChannelOptions(const ShipperOptions& options,
   if (channel.name.empty()) {
     channel.name = "redo-" + std::to_string(thread);
   }
-  // Back-compat: the legacy simulated latency knob becomes a wire delay.
-  if (options.network_latency_us > 0 && channel.faults.delay_us == 0) {
-    channel.faults.delay_us = options.network_latency_us;
-  }
   return channel;
 }
 

@@ -79,9 +79,6 @@ struct ShipperOptions {
   /// append condition variable and wakes the moment a record lands; this
   /// interval only paces the paused state and caps condvar-miss latency.
   int64_t poll_interval_us = 200;
-  /// Simulated one-way network latency applied to every batch. Folded into
-  /// the channel's fault delay (kept for back-compat with older configs).
-  int64_t network_latency_us = 0;
   /// Max records pulled per batch.
   size_t max_batch = 512;
   /// Emit an SCN heartbeat when idle at least this often, so the standby's

@@ -113,6 +113,17 @@ class TxnManager {
   /// Highest SCN whose commits are guaranteed visible to new snapshots.
   Scn visible_scn() const { return visible_scn_.load(std::memory_order_acquire); }
 
+  /// For a read at `scn` above visible_scn(): waits out any commit at or
+  /// below `scn` that has appended its commit redo but is not yet marked
+  /// committed. A standby can publish that SCN before the primary's Commit()
+  /// returns, and a flashback read there must not see a torn prefix.
+  void AwaitCommitsThrough(Scn scn) {
+    if (scn <= visible_scn()) return;
+    // Commit SCNs are allocated under commit_mu_, so every commit at or
+    // below an SCN already allocated has either finished or holds the lock.
+    std::lock_guard<std::mutex> g(commit_mu_);
+  }
+
   /// A read view for a new query (or for `txn`'s own reads).
   ReadView MakeReadView(const Transaction* txn = nullptr) const;
 

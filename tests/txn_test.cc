@@ -1,5 +1,9 @@
 #include "txn/txn_manager.h"
 
+#include <atomic>
+#include <chrono>
+#include <thread>
+
 #include <gtest/gtest.h>
 
 #include "storage/table.h"
@@ -163,6 +167,55 @@ TEST_F(TxnTest, GcLowWatermarkHonorsActiveSnapshots) {
     EXPECT_EQ(mgr_.GcLowWatermark(), *c1 - 1);
   }
   EXPECT_EQ(mgr_.GcLowWatermark(), *c1);
+}
+
+/// Holds a commit between "commit redo appended" and "marked committed".
+class PausingCommitHooks : public CommitHooks {
+ public:
+  void PreCommitLock() override {}
+  void OnCommit(const Transaction&, Scn commit_scn) override {
+    commit_scn_.store(commit_scn);
+    while (!release_.load()) std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  void PostCommitUnlock() override {}
+
+  std::atomic<Scn> commit_scn_{kInvalidScn};
+  std::atomic<bool> release_{false};
+};
+
+TEST_F(TxnTest, AwaitCommitsThroughWaitsOutInFlightCommit) {
+  // The commit's redo is already in the log (a standby may publish its SCN),
+  // but it is not yet marked committed: a flashback read at that SCN must
+  // wait for it rather than read a torn prefix.
+  PausingCommitHooks hooks;
+  mgr_.SetPrimaryImIntegration([](ObjectId) { return false; }, &hooks);
+  Transaction txn = mgr_.Begin();
+  RowId rid;
+  ASSERT_TRUE(mgr_.Insert(&txn, &table_, MakeRow(1, 2, "x"), &rid).ok());
+  std::thread committer([&] { ASSERT_TRUE(mgr_.Commit(&txn).ok()); });
+  while (hooks.commit_scn_.load() == kInvalidScn)
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  const Scn scn = hooks.commit_scn_.load();
+  EXPECT_LT(mgr_.visible_scn(), scn);
+
+  std::atomic<bool> awaited{false};
+  std::thread reader([&] {
+    mgr_.AwaitCommitsThrough(scn);
+    awaited.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(awaited.load()) << "read at an in-flight commit SCN did not wait";
+  hooks.release_.store(true);
+  committer.join();
+  reader.join();
+  EXPECT_TRUE(awaited.load());
+
+  ReadView view;
+  view.snapshot_scn = scn;
+  view.resolver = &txns_;
+  Row out;
+  EXPECT_TRUE(store_.GetBlock(rid.dba)->ReadRow(rid.slot, view, &out).ok());
+  mgr_.AwaitCommitsThrough(scn);  // Already visible: returns at once.
 }
 
 }  // namespace
